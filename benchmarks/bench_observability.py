@@ -8,10 +8,11 @@ exposed via scrape-time collectors (zero hot-path work), histograms
 observe at batch/RPC granularity, and a disabled tracer costs one
 attribute check. These gates hold the contract:
 
-1. **Pipelining overhead** — ``measure_pipelined_speedup`` with the
-   full telemetry plane live (client registry + tracing, shard-process
-   registry + tracing) must stay within 5% of the plain run, and the
-   instrumented run must still clear the >= 3x pipelining gate.
+1. **Pipelining overhead** — ``measure_pipelined_speedup``
+   (``pipelining.py`` next to this file) with the full telemetry plane
+   live (client registry + tracing, shard-process registry + tracing)
+   must stay within 5% of the plain run, and the instrumented run must
+   still clear the >= 3x pipelining gate.
 2. **Coalescing overhead** — ``measure_concurrent_throughput`` with
    the frontend and service bound to a registry and tracing enabled
    must stay within 5% of the plain run, and the instrumented frontend
@@ -42,8 +43,8 @@ from repro.serving import (
     configure_tracing,
     measure_concurrent_throughput,
     measure_per_query_throughput,
-    measure_pipelined_speedup,
 )
+from pipelining import measure_pipelined_speedup
 
 N_HOSTS = 1000
 DIMENSION = 10
@@ -154,7 +155,6 @@ def measure_pipelining_overhead(rounds: int = 8) -> tuple:
             client = RemoteShardClient(
                 *server.address,
                 pool_size=1,
-                protocol_version=2,
                 max_in_flight=PIPELINE_DEPTH,
                 timeout=30.0,
             )

@@ -7,10 +7,11 @@ Three architectural claims, each gated:
    concurrently makes the batch cost the slowest single shard, while
    dispatching shard-by-shard costs the *sum* over shards. Gate:
    >= 2x on a 4-shard cluster (4-6x typical).
-2. **Pipelining** (protocol v2): many in-flight RPCs on a *single*
-   socket overlap their service times, where the v1 discipline pays
-   them serially. Gate: >= 3x over the one-in-flight baseline at
-   depth 16 on one connection (8-12x typical).
+2. **Pipelining**: many in-flight RPCs on a *single* socket overlap
+   their service times, where a one-in-flight client pays them
+   serially. Gate: >= 3x over the one-in-flight baseline at depth 16
+   on one connection (8-12x typical); the measurement lives in
+   ``pipelining.py`` next to this file.
 3. **Zero-copy codec**: decoding a frame performs zero payload
    copies — every decoded array is a view over the receive buffer —
    and the scatter-write encoder never builds a joined intermediate.
@@ -43,9 +44,9 @@ from repro.serving import (
     ShardServer,
     connect_router,
     group_by_shard,
-    measure_pipelined_speedup,
     spawn_shard_process,
 )
+from pipelining import measure_pipelined_speedup
 from repro.serving.transport.protocol import (
     PRELUDE,
     decode_frame,
@@ -202,8 +203,8 @@ def test_scatter_gather_beats_sequential_dispatch_2x():
 
 
 def test_pipelined_dispatch_beats_one_in_flight_3x():
-    """Acceptance gate: protocol v2 pipelining >= 3x the v1
-    one-in-flight baseline on a single connection at depth 16."""
+    """Acceptance gate: pipelining >= 3x the one-in-flight baseline
+    (``max_in_flight=1``) on a single connection at depth 16."""
     report = measure_pipelined_speedup(
         depth=PIPELINE_DEPTH, work_delay=WORK_DELAY
     )
@@ -267,8 +268,11 @@ def test_codec_round_trip_throughput(benchmark):
 
 
 def test_in_process_rpc_round_trip(benchmark):
-    """Statistical timing of one pairs scatter over in-process servers
-    (loopback sockets, no artificial delay): the protocol overhead."""
+    """Statistical timing of a whole in-process cluster lifecycle over
+    loopback sockets, no artificial delay: two server boots, a router
+    connect, a ``put_many`` of 200 hosts, one 64-pair ``pairs`` query
+    and the teardown. The query is a small part of each round, so this
+    does not time the protocol overhead of one RPC."""
     ids, outgoing, incoming = build_vectors(n_hosts=200)
 
     async def build():

@@ -1,23 +1,19 @@
-"""Pipelining micro-benchmark: one socket, many in-flight RPCs.
+"""Pipelining measurement shared by the transport benchmarks.
 
-The measurement behind the ``ides-experiment serve bench-transport``
-CLI subcommand and the ≥3x acceptance gate in
-``benchmarks/bench_transport.py``: against a single shard-server
-*process* with a fixed per-request service time (``work_delay``,
-modeling real network + gather latency deterministically), compare
+Against a single shard-server *process* with a fixed per-request
+service time (``work_delay``, modeling real network + gather latency
+deterministically), compare
 
-* the **one-in-flight baseline** — a ``protocol_version=1`` client
-  with ``pool_size=1``, i.e. exactly PR 3's transport on one socket:
-  every RPC waits for the previous response; and
-* the **pipelined** form — a v2 client on one socket keeping
-  ``depth`` requests in flight, whose service times overlap on the
-  server.
+* the **one-in-flight baseline** — a client with ``pool_size=1`` and
+  ``max_in_flight=1``: one RPC at a time on one socket, every RPC
+  waiting for the previous response; and
+* the **pipelined** form — a client on one socket keeping ``depth``
+  requests in flight, whose service times overlap on the server.
 
 Both sides issue the identical ``gather`` plan over the identical ids,
-so the gap is purely the conversation discipline. ``codec`` selects
-the send-side codec ("scatter" zero-copy views vs the legacy "join"
-single-buffer build) so the codec win is reproducible from the command
-line as well.
+so the gap is purely the conversation discipline.
+``bench_transport.py`` and ``bench_observability.py`` gate it; both
+import this module from their own directory.
 """
 
 from __future__ import annotations
@@ -28,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...exceptions import ValidationError
-from . import protocol
-from .client import RemoteShardClient
-from .protocol import set_codec_mode
-from .server import spawn_shard_process
+from repro.exceptions import ValidationError
+from repro.serving.observability import MetricsRegistry, configure_tracing
+from repro.serving.transport import RemoteShardClient, spawn_shard_process
 
 __all__ = ["PipelineReport", "measure_pipelined_speedup"]
 
@@ -43,10 +37,9 @@ class PipelineReport:
 
     Attributes:
         requests: RPCs issued per strategy.
-        depth: pipeline depth of the v2 client.
+        depth: pipeline depth of the pipelined client.
         batch: ids gathered per RPC (payload size knob).
         work_delay: per-request service time configured on the shard.
-        codec: send-side codec mode used ("scatter" or "join").
         sequential_seconds: wall time of the one-in-flight baseline.
         pipelined_seconds: wall time of the pipelined client.
     """
@@ -55,7 +48,6 @@ class PipelineReport:
     depth: int
     batch: int
     work_delay: float
-    codec: str
     sequential_seconds: float
     pipelined_seconds: float
 
@@ -69,7 +61,7 @@ class PipelineReport:
     def __str__(self) -> str:
         return (
             f"{self.requests} gathers of {self.batch} ids, depth "
-            f"{self.depth}, codec {self.codec}: one-in-flight "
+            f"{self.depth}: one-in-flight "
             f"{self.sequential_seconds * 1000:.0f} ms, pipelined "
             f"{self.pipelined_seconds * 1000:.0f} ms -> "
             f"{self.speedup:.1f}x"
@@ -91,20 +83,16 @@ async def _measure_once(
     ]
 
     baseline = RemoteShardClient(
-        *address, pool_size=1, protocol_version=1, timeout=30.0
+        *address, pool_size=1, max_in_flight=1, timeout=30.0
     )
     pipelined = RemoteShardClient(
-        *address,
-        pool_size=1,
-        protocol_version=2,
-        max_in_flight=depth,
-        timeout=30.0,
+        *address, pool_size=1, max_in_flight=depth, timeout=30.0
     )
     if registry is not None:
         baseline.bind_metrics(registry)
         pipelined.bind_metrics(registry)
     try:
-        # Warm both connections (dial + negotiate) before timing.
+        # Warm both connections before timing.
         await baseline.call("ping")
         await pipelined.call("ping")
 
@@ -123,11 +111,12 @@ async def _measure_once(
         await asyncio.gather(*(one(plan) for plan in picks))
         elapsed = time.perf_counter() - started
 
-        if pipelined.open_connections != 1:
-            raise ValidationError(
-                "pipelined measurement leaked onto "
-                f"{pipelined.open_connections} sockets"
-            )
+        for client in (baseline, pipelined):
+            if client.open_connections != 1:
+                raise ValidationError(
+                    "measurement leaked onto "
+                    f"{client.open_connections} sockets"
+                )
         return sequential, elapsed
     finally:
         await baseline.close()
@@ -139,7 +128,6 @@ def measure_pipelined_speedup(
     requests: int = 96,
     batch: int = 32,
     work_delay: float = 0.002,
-    codec: str = "scatter",
     dimension: int = 10,
     n_hosts: int = 256,
     attempts: int = 3,
@@ -155,8 +143,8 @@ def measure_pipelined_speedup(
     telemetry plane live on both sides — client RPC histograms bound
     to a fresh registry, tracing enabled in this process, and the
     shard process running its own registry and tracer — so
-    ``benchmarks/bench_observability.py`` can gate the overhead of
-    observability against the plain run.
+    ``bench_observability.py`` can gate the overhead of observability
+    against the plain run.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
@@ -165,24 +153,11 @@ def measure_pipelined_speedup(
     outgoing = rng.random((n_hosts, dimension)) + 0.5
     incoming = rng.random((n_hosts, dimension)) + 0.5
 
-    # The payload-heavy direction (gather responses) is encoded by the
-    # shard *process*, so the codec mode must be set there; the parent
-    # mirrors it so the seeding put_many exercises the same send path.
     process = spawn_shard_process(
-        0,
-        1,
-        dimension=dimension,
-        work_delay=work_delay,
-        codec_mode=codec,
-        telemetry=instrument,
+        0, 1, dimension=dimension, work_delay=work_delay, telemetry=instrument
     )
-    previous_codec = protocol.CODEC_MODE  # live value, not an import-time copy
-    set_codec_mode(codec)
-
     registry = None
     if instrument:
-        from ..observability import MetricsRegistry, configure_tracing
-
         registry = MetricsRegistry()
         configure_tracing(enabled=True, service="bench-client")
 
@@ -213,14 +188,10 @@ def measure_pipelined_speedup(
             depth=depth,
             batch=batch,
             work_delay=work_delay,
-            codec=codec,
             sequential_seconds=best[0],
             pipelined_seconds=best[1],
         )
     finally:
         if instrument:
-            from ..observability import configure_tracing
-
             configure_tracing(enabled=False)
-        set_codec_mode(previous_codec)
         process.stop()

@@ -256,44 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="workload seed (default: 0)"
     )
 
-    bench_transport_parser = serve_subparsers.add_parser(
-        "bench-transport",
-        help="compare pipelined vs one-in-flight shard RPC dispatch",
-    )
-    bench_transport_parser.add_argument(
-        "--depth",
-        type=int,
-        default=16,
-        help="pipeline depth: in-flight RPCs on the one socket (default: 16)",
-    )
-    bench_transport_parser.add_argument(
-        "--codec",
-        choices=("scatter", "join"),
-        default="scatter",
-        help="send-side codec: zero-copy scatter views or legacy join",
-    )
-    bench_transport_parser.add_argument(
-        "--requests",
-        type=int,
-        default=96,
-        help="gather RPCs per strategy (default: 96)",
-    )
-    bench_transport_parser.add_argument(
-        "--batch", type=int, default=32, help="ids per gather (default: 32)"
-    )
-    bench_transport_parser.add_argument(
-        "--work-delay",
-        type=float,
-        default=0.002,
-        help="per-request service time on the shard in seconds (default: 0.002)",
-    )
-    bench_transport_parser.add_argument(
-        "--hosts", type=int, default=256, help="hosts on the shard (default: 256)"
-    )
-    bench_transport_parser.add_argument(
-        "--dimension", type=int, default=10, help="model dimension d (default: 10)"
-    )
-
     refresh_parser = serve_subparsers.add_parser(
         "refresh",
         help="stream drifting RTT observations through the refresh worker",
@@ -739,31 +701,6 @@ def _command_serve_bench_concurrent(arguments) -> int:
     return 0
 
 
-def _command_serve_bench_transport(arguments) -> int:
-    from .serving import measure_pipelined_speedup
-
-    print(
-        f"workload: one shard process, {arguments.hosts} hosts, "
-        f"d={arguments.dimension}, {arguments.requests} gathers of "
-        f"{arguments.batch} ids, work_delay "
-        f"{arguments.work_delay * 1000:.1f} ms/RPC"
-    )
-    report = measure_pipelined_speedup(
-        depth=arguments.depth,
-        requests=arguments.requests,
-        batch=arguments.batch,
-        work_delay=arguments.work_delay,
-        codec=arguments.codec,
-        dimension=arguments.dimension,
-        n_hosts=arguments.hosts,
-    )
-    print(f"one-in-flight (v1): {report.sequential_seconds * 1000:8.1f} ms")
-    print(f"pipelined (v2)    : {report.pipelined_seconds * 1000:8.1f} ms")
-    print(f"speedup           : {report.speedup:8.1f} x  (depth "
-          f"{report.depth}, codec {report.codec})")
-    return 0
-
-
 def _command_serve_refresh(arguments) -> int:
     from .serving import RefreshWorker, synthetic_drift_stream
 
@@ -1081,7 +1018,6 @@ def _command_serve(arguments) -> int:
         "nearest": _command_serve_nearest,
         "health": _command_serve_health,
         "bench-concurrent": _command_serve_bench_concurrent,
-        "bench-transport": _command_serve_bench_transport,
         "refresh": _command_serve_refresh,
         "shard": _command_serve_shard,
         "router": _command_serve_router,

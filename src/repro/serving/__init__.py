@@ -99,7 +99,6 @@ from .store import (
 from .transport import (
     ChaosClient,
     ChaosSchedule,
-    PipelineReport,
     RemoteShardClient,
     ReplicaGroup,
     ShardReplicator,
@@ -107,7 +106,6 @@ from .transport import (
     ShardedQueryRouter,
     connect_replica_router,
     connect_router,
-    measure_pipelined_speedup,
     spawn_shard_process,
 )
 
@@ -124,7 +122,6 @@ __all__ = [
     "InMemoryVectorStore",
     "JournalEntry",
     "MetricsRegistry",
-    "PipelineReport",
     "PolicyReport",
     "PredictionCache",
     "StalePrediction",
@@ -157,7 +154,6 @@ __all__ = [
     "load_snapshot",
     "measure_batching_policy",
     "measure_concurrent_throughput",
-    "measure_pipelined_speedup",
     "measure_per_query_throughput",
     "parse_prometheus_text",
     "replay_observations",

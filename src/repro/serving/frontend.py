@@ -40,7 +40,9 @@ the offending futures receive the exception.
 Backends: the frontend dispatches into either a local synchronous
 :class:`~repro.serving.service.DistanceService` (engine calls execute
 inline on the event loop) or any *async backend* exposing coroutine
-``point`` / ``pairs`` / ``one_to_many`` / ``k_nearest`` methods plus
+``point`` / ``pairs`` / ``one_to_many`` / ``k_nearest`` methods
+(``point`` and ``pairs`` always receive a ``deadline=`` keyword, which
+may be None; a backend without deadlines accepts and ignores it) plus
 the epoch-guarded cache surface (``cache``, ``write_epoch``,
 ``cache_put_if_current``, ``cache_put_many_if_current``) — in
 practice the cross-process
@@ -58,7 +60,6 @@ router's single-loop discipline plus :class:`ShardReplicator`).
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -125,10 +126,10 @@ class _ServiceBackend:
     def cache_put_many_if_current(self, epoch, entries):
         return self.service.cache_put_many_if_current(epoch, entries)
 
-    async def point(self, source_id, destination_id):
+    async def point(self, source_id, destination_id, deadline=None):
         return self.service.engine.point(source_id, destination_id)
 
-    async def pairs(self, source_ids, destination_ids):
+    async def pairs(self, source_ids, destination_ids, deadline=None):
         return self.service.engine.pairs(source_ids, destination_ids)
 
     async def one_to_many(self, source_id, destination_ids):
@@ -138,17 +139,6 @@ class _ServiceBackend:
         return self.service.engine.k_nearest(
             source_id, k, candidate_ids=candidate_ids
         )
-
-
-def _accepts_deadline(backend) -> bool:
-    """Whether the backend's read coroutines take a ``deadline`` kwarg
-    (:class:`~repro.serving.transport.ShardedQueryRouter` does; a
-    local service backend or a duck-typed fake may not)."""
-    try:
-        parameters = inspect.signature(backend.point).parameters
-    except (TypeError, ValueError):
-        return False
-    return "deadline" in parameters
 
 
 def _as_backend(service):
@@ -379,7 +369,13 @@ class AsyncDistanceFrontend:
         service: the backend to dispatch into — a synchronous
             :class:`DistanceService`, or an async backend such as
             :class:`~repro.serving.transport.ShardedQueryRouter` (see
-            the module docstring for the protocol).
+            the module docstring for the protocol). An async backend's
+            ``point(source_id, destination_id, deadline=None)`` and
+            ``pairs(source_ids, destination_ids, deadline=None)`` are
+            always called with ``deadline=`` — a
+            :class:`~repro.serving.transport.protocol.Deadline` or
+            None; a backend that has no use for the budget accepts the
+            keyword and ignores it.
         max_batch: largest number of requests executed in one dispatch
             cycle; overflow stays queued for the next cycle.
         min_batch: dispatch cycles smaller than this wait up to
@@ -426,7 +422,6 @@ class AsyncDistanceFrontend:
             raise ValidationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.service = service
         self._backend = _as_backend(service)
-        self._backend_deadline = _accepts_deadline(self._backend)
         self.max_batch = int(max_batch)
         self.min_batch = int(min_batch)
         self.max_wait = float(max_wait_ms) / 1000.0
@@ -628,8 +623,8 @@ class AsyncDistanceFrontend:
         future with :class:`~repro.exceptions.DeadlineExceededError`
         without ever enqueueing it, one that expires while the request
         waits for a dispatch cycle is shed at batch-cut time, and the
-        remaining budget propagates into a deadline-aware backend (the
-        shard router) with the dispatched batch.
+        remaining budget propagates into the backend (the shard router
+        forwards it over the wire) with the dispatched batch.
         """
         cache = self._backend.cache
         if len(cache):  # a probe into an empty cache is pure overhead
@@ -776,15 +771,6 @@ class AsyncDistanceFrontend:
             # even unhashable host id) must only fail its own future
             await self._execute_points_individually(points)
 
-    async def _point_call(self, source_id, destination_id, deadline):
-        """One backend point call, forwarding the remaining budget when
-        the backend understands deadlines."""
-        if deadline is None or not self._backend_deadline:
-            return await self._backend.point(source_id, destination_id)
-        return await self._backend.point(
-            source_id, destination_id, deadline=deadline
-        )
-
     def _shed_expired(self, points: list[tuple]) -> list[tuple]:
         """Drop queued requests whose budget ran out while they waited.
 
@@ -822,8 +808,8 @@ class AsyncDistanceFrontend:
         if len(live) == 1:
             _, source_id, destination_id, deadline, context, future = live[0]
             with get_tracer().span("frontend:point", parent=context):
-                value = await self._point_call(
-                    source_id, destination_id, deadline
+                value = await backend.point(
+                    source_id, destination_id, deadline=deadline
                 )
             if not future.cancelled():
                 future.set_result(value)
@@ -842,7 +828,7 @@ class AsyncDistanceFrontend:
         # passes mid-flight is caught by the per-request fallback.)
         deadlines = [r[3] for r in live]
         batch_deadline = None
-        if self._backend_deadline and all(d is not None for d in deadlines):
+        if all(d is not None for d in deadlines):
             batch_deadline = min(deadlines, key=lambda d: d.remaining())
         # The batch span parents on the first live submitter's context:
         # one coalesced backend round genuinely serves many callers, so
@@ -851,12 +837,9 @@ class AsyncDistanceFrontend:
             "frontend:batch", parent=live[0][4],
             attributes={"size": len(live)},
         ):
-            if batch_deadline is None:
-                values = (await backend.pairs(sources, destinations)).tolist()
-            else:
-                values = (await backend.pairs(
-                    sources, destinations, deadline=batch_deadline
-                )).tolist()
+            values = (await backend.pairs(
+                sources, destinations, deadline=batch_deadline
+            )).tolist()
         for (*_request, future), value in zip(live, values):
             if not future.cancelled():
                 future.set_result(value)
@@ -891,8 +874,8 @@ class AsyncDistanceFrontend:
                 continue
             self._point_fallbacks += 1
             try:
-                value = await self._point_call(
-                    source_id, destination_id, deadline
+                value = await self._backend.point(
+                    source_id, destination_id, deadline=deadline
                 )
             except OverloadedError as saturated:
                 peek = getattr(self._backend.cache, "get_stale", None)
@@ -1179,11 +1162,15 @@ class SimulatedDispatchBackend:
         self.items += items
         await asyncio.sleep(self.base + self.per_item * items)
 
-    async def point(self, source_id: object, destination_id: object) -> float:
+    async def point(
+        self, source_id: object, destination_id: object, deadline=None
+    ) -> float:
         await self._spend(1)
         return 0.0
 
-    async def pairs(self, source_ids, destination_ids) -> np.ndarray:
+    async def pairs(
+        self, source_ids, destination_ids, deadline=None
+    ) -> np.ndarray:
         await self._spend(len(source_ids))
         return np.zeros(len(source_ids))
 

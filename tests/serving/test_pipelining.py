@@ -1,11 +1,11 @@
-"""Tests for protocol v2: pipelining, negotiation, failure injection.
+"""Tests for the pipelined shard wire: request ids, failure injection.
 
 Covers the request-id framing property-wise (interleaved and
 out-of-order response streams must resolve every caller correctly),
-the v1<->v2 negotiation rules against a v1-only peer, and the chaos
-path: a shard killed mid-pipeline must reject every pending future
-exactly once, and a closed client must fail in-flight calls fast
-instead of letting them hang until their timeout.
+the pool's dial discipline, and the chaos path: a shard killed
+mid-pipeline must reject every pending future exactly once, and a
+closed client must fail in-flight calls fast instead of letting them
+hang until their timeout.
 """
 
 import asyncio
@@ -34,7 +34,7 @@ from repro.serving.store import InMemoryVectorStore
 from repro.serving.transport.client import _ShardConnection
 from repro.serving.transport.protocol import (
     MAX_REQUEST_ID,
-    PROTOCOL_V1,
+    PRELUDE,
     PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
@@ -56,20 +56,10 @@ def run(coroutine):
 
 class TestRequestIdFraming:
     def test_v2_frame_round_trips_request_id(self):
-        message = decode_frame(encode_frame({"op": "ping"}, request_id=777))
+        frame = encode_frame({"op": "ping"}, request_id=777)
+        assert PRELUDE.unpack(frame[: PRELUDE.size])[1] == PROTOCOL_VERSION
+        message = decode_frame(frame)
         assert message.request_id == 777
-        assert message.version == PROTOCOL_VERSION
-
-    def test_v1_frame_has_request_id_zero(self):
-        message = decode_frame(
-            encode_frame({"op": "ping"}, version=PROTOCOL_V1)
-        )
-        assert message.request_id == 0
-        assert message.version == PROTOCOL_V1
-
-    def test_v1_frame_cannot_carry_a_request_id(self):
-        with pytest.raises(ProtocolError, match="request id"):
-            encode_frame({"op": "ping"}, request_id=3, version=PROTOCOL_V1)
 
     def test_request_id_out_of_range_rejected(self):
         with pytest.raises(ProtocolError, match="request id"):
@@ -127,7 +117,6 @@ class _ShufflingEchoServer:
                         writer,
                         {"ok": True, "nonce": request.fields.get("nonce")},
                         request_id=request.request_id,
-                        version=request.version,
                     )
         except (ConnectionError, asyncio.CancelledError):
             return
@@ -144,7 +133,6 @@ class TestOutOfOrderResponses:
                 client = RemoteShardClient(
                     *stub.address,
                     pool_size=1,
-                    protocol_version=2,
                     timeout=5.0,
                     retries=0,
                 )
@@ -205,126 +193,15 @@ class TestOutOfOrderResponses:
 
 
 # ---------------------------------------------------------------------- #
-# negotiation
+# pool dialing
 # ---------------------------------------------------------------------- #
 
 
-class _V1OnlyServer:
-    """A peer speaking exactly the PR 3 dialect: v1 frames answered in
-    order, any other version refused with a v1 ProtocolError frame and
-    a hangup — byte-identical to what an old ShardServer does."""
-
-    async def __aenter__(self):
-        self._server = await asyncio.start_server(
-            self._serve, "127.0.0.1", 0
-        )
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self
-
-    async def __aexit__(self, *exc_info):
-        self._server.close()
-        await self._server.wait_closed()
-
-    async def _serve(self, reader, writer):
-        try:
-            while True:
-                request = await read_message(reader)
-                if request is None:
-                    return
-                if request.version != PROTOCOL_V1:
-                    await write_message(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": "ProtocolError",
-                            "message": (
-                                "unsupported protocol version "
-                                f"{request.version} (speaking 1)"
-                            ),
-                        },
-                        version=PROTOCOL_V1,
-                    )
-                    return
-                await write_message(
-                    writer,
-                    {"ok": True, "version": 1, "shard_index": 0,
-                     "n_shards": 1, "dimension": DIMENSION, "n_hosts": 0},
-                    version=PROTOCOL_V1,
-                )
-        except (ConnectionError, asyncio.CancelledError):
-            return
-        finally:
-            writer.close()
-
-
-class TestNegotiation:
-    def test_v2_server_negotiates_v2(self):
-        async def scenario():
-            async with ShardServer(
-                dimension=DIMENSION, shard_index=0, n_shards=1
-            ) as server:
-                client = RemoteShardClient(*server.address)
-                try:
-                    assert client.negotiated_version is None
-                    await client.call("ping")
-                    return client.negotiated_version
-                finally:
-                    await client.close()
-
-        assert run(scenario()) == PROTOCOL_VERSION
-
-    def test_v1_only_peer_negotiates_fallback(self):
-        async def scenario():
-            async with _V1OnlyServer() as stub:
-                client = RemoteShardClient(*stub.address, timeout=5.0)
-                try:
-                    response = await client.call("ping")
-                    first = client.negotiated_version
-                    # Subsequent calls stay on v1 without re-probing.
-                    await client.call("ping")
-                    return first, response.fields["n_hosts"]
-                finally:
-                    await client.close()
-
-        version, n_hosts = run(scenario())
-        assert version == PROTOCOL_V1
-        assert n_hosts == 0
-
-    def test_forced_v2_against_v1_peer_raises_protocol_error(self):
-        async def scenario():
-            async with _V1OnlyServer() as stub:
-                client = RemoteShardClient(
-                    *stub.address, protocol_version=2, timeout=5.0, retries=0
-                )
-                try:
-                    with pytest.raises(ProtocolError, match="version"):
-                        await client.call("ping")
-                finally:
-                    await client.close()
-
-        run(scenario())
-
-    def test_forced_v1_against_v2_server_works(self):
-        async def scenario():
-            async with ShardServer(
-                dimension=DIMENSION, shard_index=0, n_shards=1
-            ) as server:
-                client = RemoteShardClient(
-                    *server.address, protocol_version=1
-                )
-                try:
-                    response = await client.call("ping")
-                    # The server answered on the legacy sequential path.
-                    assert server.pipelined_requests == 0
-                    return response.fields["n_hosts"], client.negotiated_version
-                finally:
-                    await client.close()
-
-        assert run(scenario()) == (0, PROTOCOL_V1)
-
-    def test_concurrent_first_calls_negotiate_once(self):
-        """A burst of first calls must not run a negotiation storm:
-        one probe settles the version for every caller."""
+class TestPoolDialing:
+    def test_concurrent_first_calls_share_the_pool(self):
+        """A burst of first calls must not storm the server with dials:
+        the calls share the sockets the first of them open, within the
+        pool cap."""
 
         async def scenario():
             async with ShardServer(
@@ -332,15 +209,15 @@ class TestNegotiation:
             ) as server:
                 client = RemoteShardClient(*server.address, pool_size=2)
                 try:
-                    await asyncio.gather(
+                    responses = await asyncio.gather(
                         *(client.call("ping") for _ in range(16))
                     )
-                    return client.negotiated_version, client.open_connections
+                    return len(responses), client.open_connections
                 finally:
                     await client.close()
 
-        version, connections = run(scenario())
-        assert version == PROTOCOL_VERSION
+        answered, connections = run(scenario())
+        assert answered == 16
         assert connections <= 2
 
 
@@ -508,7 +385,7 @@ class TestBackpressureAndTelemetry:
             ) as server:
                 client = RemoteShardClient(
                     *server.address, timeout=10.0, retries=0,
-                    max_in_flight=16, protocol_version=2,
+                    max_in_flight=16,
                 )
                 started = asyncio.get_running_loop().time()
                 await asyncio.gather(*(client.call("ping") for _ in range(8)))
@@ -579,7 +456,7 @@ class TestBackpressureAndTelemetry:
             ) as server:
                 client = RemoteShardClient(
                     *server.address, pool_size=1, max_in_flight=2,
-                    protocol_version=2, timeout=10.0, retries=0,
+                    timeout=10.0, retries=0,
                 )
                 peak = 0
 
@@ -610,7 +487,7 @@ class TestBackpressureAndTelemetry:
             ) as server:
                 client = RemoteShardClient(
                     *server.address, pool_size=1, retries=2,
-                    retry_backoff=0.0, protocol_version=2,
+                    retry_backoff=0.0,
                 )
                 await client.call("ping")
                 server.work_delay = 0.5
@@ -663,7 +540,7 @@ class TestRequestIdQuarantine:
             reader = asyncio.StreamReader()
             late: list[int] = []
             connection = _ShardConnection(
-                reader, _NullWriter(), PROTOCOL_VERSION, 4,
+                reader, _NullWriter(), 4,
                 on_late_response=lambda: late.append(1),
             )
             try:
@@ -689,13 +566,80 @@ class TestRequestIdQuarantine:
 
         run(scenario())
 
+    def test_wrapped_counter_never_issues_id_zero(self):
+        """Id 0 belongs to the server's connection-level error frame, so
+        the claim counter wraps from MAX_REQUEST_ID straight to 1."""
+
+        async def scenario():
+            connection = _ShardConnection(
+                asyncio.StreamReader(), _NullWriter(), 4
+            )
+            try:
+                connection._next_id = MAX_REQUEST_ID - 1
+                claimed = [connection._claim_id() for _ in range(3)]
+                assert claimed == [MAX_REQUEST_ID, 1, 2]
+                # Id 1 busy: the wrap skips 0 and lands on the next free.
+                connection._pending[1] = asyncio.get_running_loop().create_future()
+                connection._next_id = MAX_REQUEST_ID
+                assert connection._claim_id() == 2
+                connection._pending.clear()
+            finally:
+                connection.close()
+
+        run(scenario())
+
+    def test_id_zero_error_frame_resolves_no_pending_call(self):
+        """A connection-level error frame (request id 0) arriving while
+        calls are pending resolves none of them: the client drops it and
+        counts it in late_responses, and every call still gets its own
+        answer."""
+        window = 3
+
+        async def serve(reader, writer):
+            try:
+                batch = [await read_message(reader) for _ in range(window)]
+                await write_message(
+                    writer,
+                    {"ok": False, "error": "ProtocolError", "message": "bad"},
+                    request_id=0,
+                )
+                for request in reversed(batch):
+                    await write_message(
+                        writer,
+                        {"ok": True, "nonce": request.fields["nonce"]},
+                        request_id=request.request_id,
+                    )
+                await reader.read()  # hold the socket until the client hangs up
+            finally:
+                writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            client = RemoteShardClient(
+                *server.sockets[0].getsockname()[:2],
+                pool_size=1, timeout=5.0, retries=0,
+            )
+            try:
+                responses = await asyncio.gather(
+                    *(client.call("echo", {"nonce": n}) for n in range(window))
+                )
+                return [r.fields["nonce"] for r in responses], client.late_responses
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        nonces, late = run(scenario())
+        assert nonces == list(range(window))
+        assert late == 1
+
     def test_exhausted_id_space_raises_transport_error(self):
         """With every id in flight or quarantined, _claim_id fails with
         TransportError (which the client retries on a fresh socket)."""
 
         async def scenario():
             connection = _ShardConnection(
-                asyncio.StreamReader(), _NullWriter(), PROTOCOL_VERSION, 4
+                asyncio.StreamReader(), _NullWriter(), 4
             )
             try:
                 connection._abandoned = set(range(MAX_REQUEST_ID + 1))
@@ -936,7 +880,7 @@ class TestCancellationDiscipline:
             reader = asyncio.StreamReader()
             late: list[int] = []
             connection = _ShardConnection(
-                reader, writer, PROTOCOL_VERSION, 4,
+                reader, writer, 4,
                 on_late_response=lambda: late.append(1),
             )
             try:
@@ -972,7 +916,7 @@ class TestCancellationDiscipline:
 
         async def scenario():
             connection = _ShardConnection(
-                asyncio.StreamReader(), _NullWriter(), PROTOCOL_VERSION, 4
+                asyncio.StreamReader(), _NullWriter(), 4
             )
             try:
                 await connection._lock.acquire()  # a long write in flight
@@ -1025,7 +969,15 @@ class TestStalledPeerIsolation:
                         )
                     )
                     await writer_a.drain()
-                    # ... and never read: the stalled peer.
+                    # ... and never read: the stalled peer. Ping only
+                    # once its response holds the server-wide write lock
+                    # (a ping sent while the large request is still
+                    # being received would be answered first).
+                    async def stalled():
+                        while not server._write_lock.locked():
+                            await asyncio.sleep(0.001)
+
+                    await asyncio.wait_for(stalled(), timeout=5.0)
                     started = time.perf_counter()
                     response = await asyncio.wait_for(
                         client.call("ping"), timeout=5.0
@@ -1043,46 +995,6 @@ class TestStalledPeerIsolation:
                     await client.close()
 
         run(scenario())
-
-
-class TestCodecModePlumbing:
-    def test_bad_codec_mode_fails_in_the_parent(self):
-        with pytest.raises(ProtocolError, match="codec mode"):
-            spawn_shard_process(0, 1, dimension=DIMENSION, codec_mode="bogus")
-
-    def test_join_codec_shard_process_serves_correctly(self):
-        """The benchmark's --codec join knob reaches the shard process
-        (which encodes the payload-heavy responses) and answers stay
-        bit-identical."""
-        rng = np.random.default_rng(11)
-        ids = [f"h{i}" for i in range(8)]
-        outgoing = rng.random((8, DIMENSION))
-        incoming = rng.random((8, DIMENSION))
-        process = spawn_shard_process(
-            0, 1, dimension=DIMENSION, codec_mode="join"
-        )
-
-        async def scenario():
-            client = RemoteShardClient(*process.address, timeout=10.0)
-            try:
-                await client.call(
-                    "put_many",
-                    {"ids": ids},
-                    {"outgoing": outgoing, "incoming": incoming},
-                )
-                response = await client.call(
-                    "gather", {"ids": ids, "which": "out"}
-                )
-                np.testing.assert_array_equal(
-                    np.asarray(response.array("outgoing")), outgoing
-                )
-            finally:
-                await client.close()
-
-        try:
-            run(scenario())
-        finally:
-            process.stop()
 
 
 class TestShardIndexAttribution:
@@ -1166,9 +1078,7 @@ class TestConnectionTeardownHygiene:
         async def scenario():
             reader = asyncio.StreamReader()
             writer = _NullWriter()
-            connection = _ShardConnection(
-                reader, writer, PROTOCOL_VERSION, 4
-            )
+            connection = _ShardConnection(reader, writer, 4)
             reader.feed_eof()
             await asyncio.sleep(0.05)
             assert connection.broken

@@ -138,8 +138,10 @@ class TestMalformedFrames:
             decode_frame(self.frame(magic=b"EVIL"))
 
     def test_unknown_version(self):
-        with pytest.raises(ProtocolError, match="version"):
-            decode_frame(self.frame(version=99))
+        # One version is spoken; 1 is as foreign as 99.
+        for version in (1, 99):
+            with pytest.raises(ProtocolError, match="version"):
+                decode_frame(self.frame(version=version))
 
     def test_reserved_bits_set(self):
         with pytest.raises(ProtocolError, match="reserved"):
@@ -392,6 +394,47 @@ class TestShardServerRpc:
                 await client.close()
                 assert ping.fields["n_hosts"] == 0
                 assert server.connections_rejected == 1
+
+        run(scenario())
+
+    def test_version_one_frame_is_a_framing_error(self):
+        """A version-1 frame reaching a real server takes the
+        ProtocolError path: an error frame with request id 0, then that
+        connection closes — while a second client already connected to
+        the same server keeps getting answers."""
+
+        async def scenario():
+            async with ShardServer(
+                dimension=DIMENSION, shard_index=0, n_shards=1
+            ) as server:
+                host, port = server.address
+                second = RemoteShardClient(host, port, pool_size=1)
+                try:
+                    await second.call("ping")
+                    reader, writer = await asyncio.open_connection(host, port)
+                    header = b'{"op":"ping","arrays":[]}'
+                    writer.write(
+                        PRELUDE.pack(MAGIC, 1, 0, 0, len(header), 0) + header
+                    )
+                    await writer.drain()
+                    from repro.serving.transport.protocol import read_message
+
+                    response = await asyncio.wait_for(read_message(reader), 5.0)
+                    assert response.request_id == 0
+                    assert response.fields["ok"] is False
+                    assert response.fields["error"] == "ProtocolError"
+                    assert "version 1" in response.fields["message"]
+                    assert await reader.read(1) == b""  # connection closed
+                    writer.close()
+
+                    for _ in range(3):
+                        ping = await second.call("ping")
+                        assert ping.fields["n_hosts"] == 0
+                    assert second.open_connections == 1
+                    assert second.late_responses == 0
+                    assert server.connections_rejected == 1
+                finally:
+                    await second.close()
 
         run(scenario())
 
@@ -716,10 +759,10 @@ class TestFrontendOverRouter:
             def cache_put_many_if_current(self, *args):
                 return 0
 
-            async def point(self, source_id, destination_id):
+            async def point(self, source_id, destination_id, deadline=None):
                 await asyncio.sleep(30)
 
-            async def pairs(self, source_ids, destination_ids):
+            async def pairs(self, source_ids, destination_ids, deadline=None):
                 await asyncio.sleep(30)
 
             async def one_to_many(self, source_id, destination_ids):
